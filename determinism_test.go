@@ -6,10 +6,13 @@ package stabledispatch
 // This table test pins that contract end to end — a seeded Boston day
 // slice must produce byte-identical lifecycle events, KPI rows, and
 // outcome records for every worker count, across the paper's stable
-// dispatchers, the sharing dispatcher, and a baseline.
+// dispatchers, the sharing dispatchers, and a baseline. The fleet is
+// scarce (30 taxis for the day slice's demand), so frames carry a
+// backlog and the matchings are contested.
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"testing"
 
@@ -40,8 +43,8 @@ func runFingerprint(t *testing.T, d sim.Dispatcher, workers int) []byte {
 	t.Helper()
 	o := exp.QuickOptions()
 	o.Frames = 60
-	o.VolumeScale = 0.05
-	reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 200, o)
+	o.VolumeScale = 1
+	reqs, taxis, err := exp.Workload(trace.Boston(), 13500, 30, o)
 	if err != nil {
 		t.Fatalf("workload: %v", err)
 	}
@@ -74,6 +77,27 @@ func runFingerprint(t *testing.T, d sim.Dispatcher, workers int) []byte {
 	return out.Bytes()
 }
 
+// goldenFingerprints pins the serial fingerprint of every algorithm in
+// the table as a SHA-256, so a change to the matching kernels or the
+// preference construction that alters a single event, KPI value or
+// outcome fails here, not only one that breaks worker-count
+// independence. Update a hash only for a change meant to alter the
+// simulation's outputs.
+//
+// The -P and -T hashes coincide. For NSTD they must: the §IV-A model
+// is additively separable (the request ranks by D(t,r^s), the taxi by
+// D(t,r^s) minus a request-only term), so a rotation between two stable
+// matchings would need D11+D22 < D12+D21 and D12+D21 < D11+D22 at once,
+// and every frame's stable matching is unique. The traced-frame goldens
+// in internal/dispatch tell the two proposal orders apart.
+var goldenFingerprints = map[string]string{
+	"NSTD-P": "1c16229f8286d889f7e6d28e917bcfec229f61e72626e36c2ce0198607121978",
+	"NSTD-T": "1c16229f8286d889f7e6d28e917bcfec229f61e72626e36c2ce0198607121978",
+	"STD-P":  "c7bd4da16164206cac8bf29c56e7226a762a4de2475699ec668df72a431be500",
+	"STD-T":  "c7bd4da16164206cac8bf29c56e7226a762a4de2475699ec668df72a431be500",
+	"Greedy": "fc9b2a257530d130af2cbb2cc17fddbe100d02a24ca4cd73b203fda7ab22ae36",
+}
+
 func TestWorkerCountDeterminism(t *testing.T) {
 	packCfg := share.PackConfig{Theta: 5, MaxGroupSize: 3, PairRadius: 10}
 	algos := []struct {
@@ -83,6 +107,7 @@ func TestWorkerCountDeterminism(t *testing.T) {
 		{"NSTD-P", func() sim.Dispatcher { return dispatch.NewNSTDP() }},
 		{"NSTD-T", func() sim.Dispatcher { return dispatch.NewNSTDT() }},
 		{"STD-P", func() sim.Dispatcher { return dispatch.NewSTDP(packCfg) }},
+		{"STD-T", func() sim.Dispatcher { return dispatch.NewSTDT(packCfg) }},
 		{"Greedy", func() sim.Dispatcher { return dispatch.NewGreedy() }},
 	}
 	for _, algo := range algos {
@@ -90,6 +115,9 @@ func TestWorkerCountDeterminism(t *testing.T) {
 			want := runFingerprint(t, algo.make(), 1)
 			if len(want) == 0 {
 				t.Fatal("serial run produced an empty fingerprint")
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(want)); got != goldenFingerprints[algo.name] {
+				t.Errorf("serial fingerprint sha256 = %s, want golden %s", got, goldenFingerprints[algo.name])
 			}
 			for _, workers := range []int{4, 16} {
 				got := runFingerprint(t, algo.make(), workers)
