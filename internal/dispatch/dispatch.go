@@ -35,16 +35,20 @@ func idleFleet(f *sim.Frame) []fleet.Taxi {
 	return taxis
 }
 
-// prunedInstance builds the frame's non-sharing preference instance from
-// a cost plane pruned at the passenger-side dummy threshold: taxis
-// farther than MaxPickup from a pickup sit behind the dummy regardless,
-// so skipping their cells leaves every preference list unchanged.
+// prunedPlane builds (or memo-hits) the frame's cost plane pruned at
+// the passenger-side dummy threshold: taxis farther than MaxPickup from
+// a pickup sit behind the dummy regardless, so skipping their cells
+// leaves every preference list unchanged.
+func prunedPlane(f *sim.Frame, taxis []fleet.Taxi) *costplane.Plane {
+	defer stageTimer("cost_plane").ObserveDuration()
+	return f.CostPlane(taxis, costplane.Config{PruneRadius: f.Params.MaxPickup})
+}
+
+// prunedInstance builds the frame's dense non-sharing instance from the
+// pruned plane, for the dispatchers that enumerate stable matchings.
 func prunedInstance(f *sim.Frame, taxis []fleet.Taxi) (*pref.Instance, error) {
-	tm := stageTimer("cost_plane")
-	pl := f.CostPlane(taxis, costplane.Config{PruneRadius: f.Params.MaxPickup})
-	tm.ObserveDuration()
-	tm = stageTimer("pref_build")
-	defer tm.ObserveDuration()
+	pl := prunedPlane(f, taxis)
+	defer stageTimer("pref_build").ObserveDuration()
 	return pref.FromPlane(pl, f.Params)
 }
 
@@ -79,22 +83,33 @@ func (d *NSTD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if len(taxis) == 0 || len(f.Requests) == 0 {
 		return nil, nil
 	}
-	inst, err := prunedInstance(f, taxis)
+	pl := prunedPlane(f, taxis)
+	build := pref.ListsFromPlane
+	if d.taxiOptimal {
+		build = pref.TaxiListsFromPlane
+	}
+	tm := stageTimer("pref_build")
+	lists, err := build(pl, f.Params)
+	tm.ObserveDuration()
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	ft := newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
-	tm := stageTimer("matching")
-	var m stable.Matching
-	if d.taxiOptimal {
-		m = stable.TaxiOptimalObserved(&inst.Market, ft.observer(true))
-	} else {
-		m = stable.PassengerOptimalObserved(&inst.Market, ft.observer(false))
-	}
-	tm.ObserveDuration()
+	m := matchLists(newFrameTracer(f.Number, f.Requests, nil, taxis), &lists, d.taxiOptimal)
 	out := singleRides(m, taxis, f.Requests)
 	obsAssignments.Add(uint64(len(out)))
 	return out, nil
+}
+
+// matchLists runs the frame's stable matching over the proposing
+// side's lists: the taxi side for the taxi-optimal variants, the request
+// side otherwise. ft may be nil (tracing off).
+func matchLists(ft *frameTracer, lists *pref.Lists, taxiOptimal bool) stable.Matching {
+	ft.shortlist(lists, taxiOptimal)
+	defer stageTimer("matching").ObserveDuration()
+	if taxiOptimal {
+		return stable.TaxiOptimalLists(lists, ft.observer(true))
+	}
+	return stable.PassengerOptimalLists(lists, ft.observer(false))
 }
 
 // costMatrix returns the request-major pickup-distance matrix the
@@ -230,19 +245,16 @@ func (d *STD) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	}
 	tm = stageTimer("pref_build")
 	mk, err := share.BuildMarketPlane(units, taxis, pl, f.Params)
-	tm.ObserveDuration()
 	if err != nil {
+		tm.ObserveDuration()
 		return nil, fmt.Errorf("dispatch: %s: %w", d.Name(), err)
 	}
-	ft := newFrameTracer(f.Number, mk, unitMemberIDs(units, f.Requests), fleetIDs(taxis))
-	tm = stageTimer("matching")
-	var m stable.Matching
+	lists := mk.Lists()
 	if d.taxiOptimal {
-		m = stable.TaxiOptimalObserved(mk, ft.observer(true))
-	} else {
-		m = stable.PassengerOptimalObserved(mk, ft.observer(false))
+		lists = lists.Transpose()
 	}
 	tm.ObserveDuration()
+	m := matchLists(newFrameTracer(f.Number, f.Requests, units, taxis), &lists, d.taxiOptimal)
 	var out []fleet.Assignment
 	for k, i := range m.ReqPartner {
 		if i != stable.Unmatched {

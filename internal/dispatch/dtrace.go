@@ -28,52 +28,64 @@ const traceTopCandidates = 3
 type frameTracer struct {
 	rec       *dtrace.Recorder
 	frame     int
-	mk        *pref.Market
 	memberIDs [][]int
 	taxiIDs   []int
-	// reqRank[j][i] is taxi i's rank on request j's list (-1 when not
-	// mutually acceptable); taxiRank[i][j] mirrors it.
-	reqRank  [][]int
-	taxiRank [][]int
+	// req is the frame's request-side lists. reqRank[j][i] is taxi i's
+	// rank on request j's list (-1 when not mutually acceptable);
+	// taxiRank[i][j] mirrors it.
+	req      *pref.Lists
+	reqRank  [][]int32
+	taxiRank [][]int32
 }
 
 // newFrameTracer returns a tracer for the frame, or nil when tracing is
-// disabled. Building it records each request's candidate shortlist (the
-// dummy-partner threshold check: who is ahead of the dummy, and by how
-// much).
-func newFrameTracer(frame int, mk *pref.Market, memberIDs [][]int, taxiIDs []int) *frameTracer {
+// disabled. units, when non-nil, are the sharing dispatchers' proposer
+// side (indices into reqs); otherwise each request proposes alone.
+func newFrameTracer(frame int, reqs []fleet.Request, units []share.Unit, taxis []fleet.Taxi) *frameTracer {
 	rec := dtrace.Active()
 	if rec == nil {
 		return nil
 	}
-	t := &frameTracer{
-		rec:       rec,
-		frame:     frame,
-		mk:        mk,
-		memberIDs: memberIDs,
-		taxiIDs:   taxiIDs,
-		reqRank:   make([][]int, mk.NumRequests()),
-		taxiRank:  make([][]int, mk.NumTaxis()),
+	t := &frameTracer{rec: rec, frame: frame, taxiIDs: fleetIDs(taxis)}
+	if units != nil {
+		t.memberIDs = unitMemberIDs(units, reqs)
+	} else {
+		t.memberIDs = singleIDs(reqs)
 	}
-	for j := range t.reqRank {
-		t.reqRank[j] = rankTable(mk.NumTaxis(), mk.ReqPrefList(j))
-	}
-	for i := range t.taxiRank {
-		t.taxiRank[i] = rankTable(mk.NumRequests(), mk.TaxiPrefList(i))
-	}
-	t.recordCandidates()
 	return t
 }
 
-// rankTable inverts a preference list into a rank lookup (-1 = behind a
-// dummy).
-func rankTable(n int, prefList []int) []int {
-	ranks := make([]int, n)
-	for i := range ranks {
-		ranks[i] = -1
+// shortlist takes the frame's preference lists — l is the taxi side
+// when byTaxi, else the request side, and the tracer transposes it for
+// the other — builds both rank tables, and records each request's
+// candidate shortlist (the dummy-partner threshold check: who is ahead
+// of the dummy, and by how much). A nil tracer ignores it.
+func (t *frameTracer) shortlist(l *pref.Lists, byTaxi bool) {
+	if t == nil {
+		return
 	}
-	for rank, idx := range prefList {
-		ranks[idx] = rank
+	other := l.Transpose()
+	req, taxi := l, &other
+	if byTaxi {
+		req, taxi = taxi, req
+	}
+	t.req, t.reqRank, t.taxiRank = req, rankTable(req), rankTable(taxi)
+	t.recordCandidates()
+}
+
+// rankTable inverts every row of l into a rank lookup: rank[k][p] is
+// p's position on row k, or -1 (behind a dummy).
+func rankTable(l *pref.Lists) [][]int32 {
+	cells := make([]int32, l.Len()*l.Peers)
+	for c := range cells {
+		cells[c] = -1
+	}
+	ranks := make([][]int32, l.Len())
+	for k := range ranks {
+		ranks[k] = cells[k*l.Peers : (k+1)*l.Peers]
+		for r, e := range l.Row(k) {
+			ranks[k][e.Peer] = int32(r)
+		}
 	}
 	return ranks
 }
@@ -120,9 +132,9 @@ func (t *frameTracer) record(j int, e dtrace.Event) {
 // This guarantees every traced request has at least one alternatives
 // event for the explain surface even if its first proposal is accepted.
 func (t *frameTracer) recordCandidates() {
-	pool := t.mk.NumTaxis()
-	for j := 0; j < t.mk.NumRequests(); j++ {
-		list := t.mk.ReqPrefList(j)
+	pool := t.req.Peers
+	for j := 0; j < t.req.Len(); j++ {
+		list := t.req.Row(j)
 		e := dtrace.Ev(dtrace.KindCandidates)
 		e.Acceptable = len(list)
 		e.Pool = pool
@@ -137,12 +149,12 @@ func (t *frameTracer) recordCandidates() {
 		if len(top) > traceTopCandidates {
 			top = top[:traceTopCandidates]
 		}
-		for rank, i := range top {
+		for rank, c := range top {
 			e.Candidates = append(e.Candidates, dtrace.Candidate{
-				TaxiID:   t.taxiID(i),
+				TaxiID:   t.taxiID(int(c.Peer)),
 				Rank:     rank,
-				PickupKm: t.mk.ReqCost[j][i],
-				NetKm:    t.mk.TaxiCost[i][j],
+				PickupKm: c.Cost,
+				NetKm:    c.PeerCost,
 			})
 		}
 		t.record(j, e)
@@ -174,12 +186,12 @@ func (t *frameTracer) observer(taxiProposing bool) *stable.Observer {
 func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.TaxiID = t.taxiID(i)
-	e.ReqRank = t.reqRank[j][i]
-	e.TaxiRank = t.taxiRank[i][j]
+	e.ReqRank = int(t.reqRank[j][i])
+	e.TaxiRank = int(t.taxiRank[i][j])
 	e.Outcome = outcome
 	if rival != stable.Unmatched {
 		e.RivalID = t.firstMember(rival)
-		e.RivalRank = t.taxiRank[i][rival]
+		e.RivalRank = int(t.taxiRank[i][rival])
 	}
 	switch outcome {
 	case "accepted":
@@ -199,10 +211,10 @@ func (t *frameTracer) reqProposal(j, i, rival int, outcome string) {
 	if outcome == "displaced" && rival != stable.Unmatched {
 		d := dtrace.Ev(dtrace.KindDisplaced)
 		d.TaxiID = e.TaxiID
-		d.ReqRank = t.reqRank[rival][i]
-		d.TaxiRank = t.taxiRank[i][rival]
+		d.ReqRank = int(t.reqRank[rival][i])
+		d.TaxiRank = int(t.taxiRank[i][rival])
 		d.RivalID = t.firstMember(j)
-		d.RivalRank = t.taxiRank[i][j]
+		d.RivalRank = int(t.taxiRank[i][j])
 		d.Outcome = "displaced"
 		d.Detail = fmt.Sprintf("lost taxi %d to request %d, which the taxi ranks #%d (this request ranked #%d); resuming proposals",
 			d.TaxiID, d.RivalID, d.RivalRank, d.TaxiRank)
@@ -224,11 +236,11 @@ func (t *frameTracer) reqExhausted(j int) {
 func (t *frameTracer) taxiProposal(i, j, rival int, outcome string) {
 	e := dtrace.Ev(dtrace.KindPropose)
 	e.TaxiID = t.taxiID(i)
-	e.ReqRank = t.reqRank[j][i]
-	e.TaxiRank = t.taxiRank[i][j]
+	e.ReqRank = int(t.reqRank[j][i])
+	e.TaxiRank = int(t.taxiRank[i][j])
 	if rival != stable.Unmatched {
 		e.RivalID = t.taxiID(rival)
-		e.RivalRank = t.reqRank[j][rival]
+		e.RivalRank = int(t.reqRank[j][rival])
 	}
 	switch outcome {
 	case "accepted":

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"stabledispatch/internal/fleet"
+	"stabledispatch/internal/pref"
 	"stabledispatch/internal/sim"
 	"stabledispatch/internal/stable"
 )
@@ -39,10 +40,10 @@ func (d *NSTDC) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	// The enumeration has no per-proposal observer; building the tracer
-	// still records each request's candidate shortlist for the explain
+	// The enumeration has no per-proposal observer; the tracer still
+	// records each request's candidate shortlist for the explain
 	// surface.
-	_ = newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
+	traceShortlist(f, inst, taxis)
 	tm := stageTimer("matching")
 	m := stable.CompanyOptimal(&inst.Market, stable.TotalPickupDistance(inst), enumerationCap)
 	tm.ObserveDuration()
@@ -74,13 +75,22 @@ func (d *NSTDM) Dispatch(f *sim.Frame) ([]fleet.Assignment, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dispatch: %w", err)
 	}
-	_ = newFrameTracer(f.Number, &inst.Market, singleIDs(f.Requests), fleetIDs(taxis))
+	traceShortlist(f, inst, taxis)
 	tm := stageTimer("matching")
 	m := stable.MedianStable(&inst.Market, enumerationCap)
 	tm.ObserveDuration()
 	out := singleRides(m, taxis, f.Requests)
 	obsAssignments.Add(uint64(len(out)))
 	return out, nil
+}
+
+// traceShortlist records each request's candidate shortlist when
+// tracing is on; the dense instance's lists are built only then.
+func traceShortlist(f *sim.Frame, inst *pref.Instance, taxis []fleet.Taxi) {
+	if ft := newFrameTracer(f.Number, f.Requests, nil, taxis); ft != nil {
+		lists := inst.Market.Lists()
+		ft.shortlist(&lists, false)
+	}
 }
 
 // singleRides converts a non-sharing matching into assignments.

@@ -12,8 +12,12 @@ import (
 //	cost_plane  — building (or memo-hitting) the frame's shared
 //	              distance plane: spatial candidate pruning plus the
 //	              parallel batched distance computation
-//	pref_build  — market construction from the plane (pref.FromPlane
-//	              or share.BuildMarketPlane)
+//	pref_build  — preference construction from the plane: NSTD's
+//	              sparse lists (pref.ListsFromPlane or
+//	              pref.TaxiListsFromPlane), the sharing unit market
+//	              and its lists (share.BuildMarketPlane, Market.Lists),
+//	              or the enumerating extensions' dense market
+//	              (pref.FromPlane)
 //	cost_matrix — the baselines' request-major view of the plane
 //	matching    — the stable matching (or baseline assignment) solve
 //	packing     — Algorithm 3's feasible-group + set-packing stage

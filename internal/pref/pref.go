@@ -193,6 +193,8 @@ func (m *Market) TaxiPrefers(i, j1, j2 int) bool {
 // ReqPrefList returns request j's preference list: the mutually
 // acceptable taxis sorted from most to least preferred. Taxis behind
 // either dummy are omitted (they can never be stably matched to j).
+// The matchings run on Lists; this is the reference Lists is tested
+// against.
 func (m *Market) ReqPrefList(j int) []int {
 	var list []int
 	for i := 0; i < m.NumTaxis(); i++ {

@@ -20,16 +20,16 @@ func AllStableMatchings(mk *pref.Market, limit int) []Matching {
 	if limit <= 0 {
 		limit = math.MaxInt
 	}
-	state, prefs := passengerOptimalState(mk, nil, nil)
-	e := &enumerator{mk: mk, prefs: prefs, limit: limit}
-	e.results = append(e.results, state.match.Clone())
+	l := mk.Lists()
+	state := deferredAcceptance(&l, nil)
+	e := &enumerator{lists: &l, limit: limit}
+	e.results = append(e.results, state.matching())
 	e.explore(state, 0)
 	return e.results
 }
 
 type enumerator struct {
-	mk      *pref.Market
-	prefs   [][]int
+	lists   *pref.Lists
 	results []Matching
 	limit   int
 }
@@ -43,15 +43,15 @@ func (e *enumerator) explore(s gsState, minJ int) {
 	if len(e.results) >= e.limit {
 		return
 	}
-	for j := minJ; j < e.mk.NumRequests(); j++ {
+	for j := minJ; j < e.lists.Len(); j++ {
 		// Rule 3: breaking an unserved request can never succeed
 		// (Theorem 2 — a request unserved in the passenger-optimal
 		// matching is unserved in every stable matching).
-		if s.match.ReqPartner[j] == Unmatched {
+		if s.prop[j] == Unmatched {
 			continue
 		}
 		if next, ok := e.breakDispatch(s, j); ok {
-			e.results = append(e.results, next.match.Clone())
+			e.results = append(e.results, next.matching())
 			if len(e.results) >= e.limit {
 				return
 			}
@@ -70,32 +70,34 @@ func (e *enumerator) explore(s gsState, minJ int) {
 // request falls off the end of its preference list (re-matched to a
 // dummy; the freed taxi would stay undispatched and block).
 func (e *enumerator) breakDispatch(s gsState, j int) (gsState, bool) {
-	t := s.match.ReqPartner[j]
+	t := s.prop[j]
+	lost := s.held[t] // t's cost for j
 	ns := s.clone()
-	ns.match.ReqPartner[j] = Unmatched
-	ns.match.TaxiPartner[t] = Unmatched
+	ns.prop[j] = Unmatched
+	ns.recv[t] = Unmatched
 
 	active := j
 	for {
-		if ns.next[active] >= len(e.prefs[active]) {
+		k := ns.next[active]
+		if k == e.lists.Off[active+1] {
 			// active reached its dummy entry: no stable matching
 			// down this branch (the freed taxi stays single).
 			return gsState{}, false
 		}
-		i := e.prefs[active][ns.next[active]]
-		ns.next[active]++
+		ns.next[active] = k + 1
+		en := &e.lists.Ent[k]
+		i := int(en.Peer)
 
 		if i == t {
 			// Rule 1: the freed taxi holds out for a strictly
 			// better request than the one it lost.
-			if e.mk.TaxiPrefers(i, active, j) {
-				ns.match.TaxiPartner[i] = active
-				ns.match.ReqPartner[active] = i
+			if takes(en.PeerCost, active, lost, j) {
+				ns.accept(active, i, en.PeerCost)
 				return ns, true
 			}
 			continue
 		}
-		cur := ns.match.TaxiPartner[i]
+		cur := ns.recv[i]
 		if cur == Unmatched {
 			// A taxi unmatched in the current stable matching is
 			// unmatched in all of them (the taxi-side mirror of
@@ -103,14 +105,13 @@ func (e *enumerator) breakDispatch(s gsState, j int) (gsState, bool) {
 			// strand the freed taxi, so this branch is dead.
 			return gsState{}, false
 		}
-		if e.mk.TaxiPrefers(i, active, cur) {
+		if takes(en.PeerCost, active, ns.held[i], cur) {
 			if cur < j {
 				// Rule 2: requests before r_j may not be moved.
 				return gsState{}, false
 			}
-			ns.match.TaxiPartner[i] = active
-			ns.match.ReqPartner[active] = i
-			ns.match.ReqPartner[cur] = Unmatched
+			ns.accept(active, i, en.PeerCost)
+			ns.prop[cur] = Unmatched
 			active = cur
 			continue
 		}

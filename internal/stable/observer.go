@@ -42,14 +42,6 @@ func (o *Observer) exhausted(proposer int) {
 // PassengerOptimalObserved is PassengerOptimal with per-decision
 // callbacks; a nil observer makes it identical to PassengerOptimal.
 func PassengerOptimalObserved(mk *pref.Market, o *Observer) Matching {
-	state, _ := passengerOptimalState(mk, nil, o)
-	obsMatchings.Inc()
-	return state.match
-}
-
-// TaxiOptimalObserved is TaxiOptimal with per-decision callbacks; the
-// proposing side is the taxis, so Observer.Proposal receives taxi
-// indices as proposer and request indices as target.
-func TaxiOptimalObserved(mk *pref.Market, o *Observer) Matching {
-	return taxiOptimal(mk, o)
+	l := mk.Lists()
+	return PassengerOptimalLists(&l, o)
 }

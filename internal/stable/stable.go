@@ -7,12 +7,14 @@
 // Terminology follows the paper: passengers play the proposing side of
 // the Gale–Shapley procedure, so Algorithm 1 yields the passenger-optimal
 // stable matching (Property 2). Dummy partners (Theorem 1) are encoded by
-// the acceptability bits of pref.Market — a pair behind either dummy is
-// simply never proposed to and never accepted.
+// the sparse pref.Lists the matchings run on — a pair behind either
+// dummy has no list entry, so it is never proposed to and never
+// accepted.
 package stable
 
 import (
 	"fmt"
+	"slices"
 
 	"stabledispatch/internal/pref"
 )
@@ -84,22 +86,123 @@ func (m Matching) Key() string {
 	return fmt.Sprint(m.ReqPartner)
 }
 
-// market state shared by Algorithm 1, Algorithm 2, and the verifier.
-// prefs[j] is request j's mutually acceptable taxi list, most preferred
-// first; next[j] is the index of the entry request j will propose to
-// next (entries before it have already refused j or been left by j).
+// gsState is a deferred-acceptance run over one side's preference
+// lists. prop[p] is proposer p's tentative partner and recv[q] receiver
+// q's (Unmatched for the dummy); next[p] is the Ent index of p's next
+// proposal (entries before it have refused p or been left by p); held[q]
+// is the cost receiver q assigns recv[q], recorded when q accepted.
+//
+// The receiver compares a proposal against held[q] with the index
+// tie-break — c < held[q], or c == held[q] and the proposer's index is
+// lower — which is Market.TaxiPrefers (ReqPrefers in the mirror) with
+// the tentative partner's cost looked up once instead of on every
+// proposal, so no R×T matrix is consulted.
 type gsState struct {
-	match Matching
-	next  []int
+	prop, recv []int
+	next       []int32
+	held       []float64
+}
+
+func newState(l *pref.Lists) gsState {
+	s := gsState{
+		prop: make([]int, l.Len()),
+		recv: make([]int, l.Peers),
+		next: slices.Clone(l.Off[:l.Len()]),
+		held: make([]float64, l.Peers),
+	}
+	for p := range s.prop {
+		s.prop[p] = Unmatched
+	}
+	for q := range s.recv {
+		s.recv[q] = Unmatched
+	}
+	return s
 }
 
 func (s gsState) clone() gsState {
-	c := gsState{
-		match: s.match.Clone(),
-		next:  make([]int, len(s.next)),
+	return gsState{
+		prop: slices.Clone(s.prop),
+		recv: slices.Clone(s.recv),
+		next: slices.Clone(s.next),
+		held: slices.Clone(s.held),
 	}
-	copy(c.next, s.next)
-	return c
+}
+
+// matching returns a copy of the run's matching, reading the proposing
+// side as the requests.
+func (s gsState) matching() Matching {
+	return Matching{ReqPartner: slices.Clone(s.prop), TaxiPartner: slices.Clone(s.recv)}
+}
+
+// takes reports whether a receiver holding partner cur at cost held
+// prefers proposer p, which it assigns cost c.
+func takes(c float64, p int, held float64, cur int) bool {
+	return c < held || (c == held && p < cur)
+}
+
+// accept records receiver q taking proposer p at cost c.
+func (s *gsState) accept(p, q int, c float64) {
+	s.prop[p], s.recv[q], s.held[q] = q, p, c
+}
+
+// deferredAcceptance runs the proposing side of l through the paper's
+// Proposal/Refusal loop in index order and publishes the run's
+// telemetry once. Over request lists it is Algorithm 1; over the
+// transposed taxi lists it is the taxi-proposing mirror. o may be nil.
+func deferredAcceptance(l *pref.Lists, o *Observer) gsState {
+	s := newState(l)
+	var proposals, displacements uint64
+	for p := 0; p < l.Len(); p++ {
+		n, d := s.propose(l, p, o)
+		proposals += n
+		displacements += d
+	}
+	obsProposals.Add(proposals)
+	obsDisplacements.Add(displacements)
+	obsMatchings.Inc()
+	return s
+}
+
+// propose is the paper's Proposal/Refusal pair: proposer p proposes
+// down its list; a displaced proposer immediately re-proposes
+// (iteratively rather than recursively). It returns the proposals made
+// and the partners displaced.
+func (s *gsState) propose(l *pref.Lists, p int, o *Observer) (proposals, displacements uint64) {
+	active := p
+	for {
+		k := s.next[active]
+		if k == l.Off[active+1] {
+			// Next entry is the dummy: active stays unmatched.
+			o.exhausted(active)
+			return proposals, displacements
+		}
+		s.next[active] = k + 1
+		e := &l.Ent[k]
+		q := int(e.Peer)
+		proposals++
+
+		cur := s.recv[q]
+		switch {
+		case cur == Unmatched:
+			// Refusal, lines 10-11: an undispatched receiver accepts
+			// any proposer ahead of its dummy (the lists hold only
+			// mutually acceptable pairs).
+			s.accept(active, q, e.PeerCost)
+			o.proposal(active, q, Unmatched, "accepted")
+			return proposals, displacements
+		case takes(e.PeerCost, active, s.held[q], cur):
+			// Refusal, lines 12-14: the receiver upgrades and the
+			// displaced proposer goes back to proposing.
+			s.accept(active, q, e.PeerCost)
+			s.prop[cur] = Unmatched
+			displacements++
+			o.proposal(active, q, cur, "displaced")
+			active = cur
+		default:
+			// Refusal, line 16: the receiver keeps its partner.
+			o.proposal(active, q, cur, "refused")
+		}
+	}
 }
 
 // PassengerOptimal runs Algorithm 1 (Non-Sharing Taxi Dispatch) and
@@ -108,79 +211,14 @@ func (s gsState) clone() gsState {
 // (Property 2). Requests and taxis whose preference order starts with the
 // dummy are never dispatched (Property 1).
 func PassengerOptimal(mk *pref.Market) Matching {
-	state, _ := passengerOptimalState(mk, nil, nil)
-	obsMatchings.Inc()
-	return state.match
+	return PassengerOptimalObserved(mk, nil)
 }
 
-// passengerOptimalState runs Algorithm 1 and returns the full proposal
-// state, which Algorithm 2 continues from. prefs may be nil, in which
-// case the preference lists are computed here; otherwise it must be the
-// market's request preference lists. o may be nil.
-func passengerOptimalState(mk *pref.Market, prefs [][]int, o *Observer) (gsState, [][]int) {
-	r, t := mk.NumRequests(), mk.NumTaxis()
-	if prefs == nil {
-		prefs = make([][]int, r)
-		for j := 0; j < r; j++ {
-			prefs[j] = mk.ReqPrefList(j)
-		}
-	}
-	state := gsState{
-		match: NewMatching(r, t),
-		next:  make([]int, r),
-	}
-	for j := 0; j < r; j++ {
-		propose(mk, prefs, &state, j, o)
-	}
-	return state, prefs
-}
-
-// propose is the paper's Proposal/Refusal pair: request j proposes down
-// its preference list; a displaced request immediately re-proposes
-// (iteratively rather than recursively). o may be nil.
-func propose(mk *pref.Market, prefs [][]int, s *gsState, j int, o *Observer) {
-	proposals, displacements := uint64(0), uint64(0)
-	defer func() {
-		obsProposals.Add(proposals)
-		obsDisplacements.Add(displacements)
-	}()
-	active := j
-	for {
-		if s.next[active] >= len(prefs[active]) {
-			// Next entry is the dummy: active stays unserved.
-			s.match.ReqPartner[active] = Unmatched
-			o.exhausted(active)
-			return
-		}
-		i := prefs[active][s.next[active]]
-		s.next[active]++
-		proposals++
-
-		cur := s.match.TaxiPartner[i]
-		if cur == Unmatched {
-			// Refusal, lines 10-11: an undispatched taxi accepts
-			// any request ahead of its dummy (the pref list
-			// already guarantees mutual acceptability).
-			s.match.TaxiPartner[i] = active
-			s.match.ReqPartner[active] = i
-			o.proposal(active, i, Unmatched, "accepted")
-			return
-		}
-		if mk.TaxiPrefers(i, active, cur) {
-			// Refusal, lines 12-14: the taxi upgrades and the
-			// displaced request goes back to proposing.
-			s.match.TaxiPartner[i] = active
-			s.match.ReqPartner[active] = i
-			s.match.ReqPartner[cur] = Unmatched
-			displacements++
-			o.proposal(active, i, cur, "displaced")
-			active = cur
-			continue
-		}
-		// Refusal, line 16: taxi keeps its partner; active proposes
-		// to its next entry.
-		o.proposal(active, i, cur, "refused")
-	}
+// PassengerOptimalLists is Algorithm 1 over request-side lists, with
+// per-decision callbacks (o may be nil).
+func PassengerOptimalLists(l *pref.Lists, o *Observer) Matching {
+	s := deferredAcceptance(l, o)
+	return Matching{ReqPartner: s.prop, TaxiPartner: s.recv}
 }
 
 // TaxiOptimal returns the taxi-optimal stable matching: among all stable
@@ -190,55 +228,18 @@ func propose(mk *pref.Market, prefs [][]int, s *gsState, j int, o *Observer) {
 // Algorithm 2 enumeration in tests) is exactly the matching the paper
 // calls NSTD-T.
 func TaxiOptimal(mk *pref.Market) Matching {
-	return taxiOptimal(mk, nil)
+	l := mk.Lists()
+	byTaxi := l.Transpose()
+	return TaxiOptimalLists(&byTaxi, nil)
 }
 
-// taxiOptimal is the taxi-proposing deferred acceptance with optional
-// per-decision callbacks (o may be nil).
-func taxiOptimal(mk *pref.Market, o *Observer) Matching {
-	r, t := mk.NumRequests(), mk.NumTaxis()
-	prefs := make([][]int, t)
-	for i := 0; i < t; i++ {
-		prefs[i] = mk.TaxiPrefList(i)
-	}
-	match := NewMatching(r, t)
-	next := make([]int, t)
-	proposals, displacements := uint64(0), uint64(0)
-	for i := 0; i < t; i++ {
-		active := i
-		for {
-			if next[active] >= len(prefs[active]) {
-				match.TaxiPartner[active] = Unmatched
-				o.exhausted(active)
-				break
-			}
-			j := prefs[active][next[active]]
-			next[active]++
-			proposals++
-
-			cur := match.ReqPartner[j]
-			if cur == Unmatched {
-				match.ReqPartner[j] = active
-				match.TaxiPartner[active] = j
-				o.proposal(active, j, Unmatched, "accepted")
-				break
-			}
-			if mk.ReqPrefers(j, active, cur) {
-				match.ReqPartner[j] = active
-				match.TaxiPartner[active] = j
-				match.TaxiPartner[cur] = Unmatched
-				displacements++
-				o.proposal(active, j, cur, "displaced")
-				active = cur
-				continue
-			}
-			o.proposal(active, j, cur, "refused")
-		}
-	}
-	obsProposals.Add(proposals)
-	obsDisplacements.Add(displacements)
-	obsMatchings.Inc()
-	return match
+// TaxiOptimalLists is the taxi-proposing mirror over taxi-side lists
+// (pref.TaxiListsFromPlane, or Lists.Transpose of the request side);
+// Observer.Proposal receives taxi indices as proposer and request
+// indices as target (o may be nil).
+func TaxiOptimalLists(byTaxi *pref.Lists, o *Observer) Matching {
+	s := deferredAcceptance(byTaxi, o)
+	return Matching{ReqPartner: s.recv, TaxiPartner: s.prop}
 }
 
 // IsStable reports whether the matching is stable under Definition 1,

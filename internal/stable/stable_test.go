@@ -566,3 +566,41 @@ func TestBlockingPairsDescribesViolation(t *testing.T) {
 		t.Errorf("dummy rendering missing: %v", pairs)
 	}
 }
+
+// TestTelemetryPublishesOncePerMatching pins the obs.go contract: the
+// Gale–Shapley counters stay put while a matching runs, then advance by
+// exactly the proposals and displacements the Observer saw, and by one
+// matching.
+func TestTelemetryPublishesOncePerMatching(t *testing.T) {
+	mk := randomMarket(rand.New(rand.NewSource(11)), 40, 30, 0.6)
+	byReq := mk.Lists()
+	byTaxi := byReq.Transpose()
+	for name, run := range map[string]func(*Observer) Matching{
+		"passenger-proposing": func(o *Observer) Matching { return PassengerOptimalLists(&byReq, o) },
+		"taxi-proposing":      func(o *Observer) Matching { return TaxiOptimalLists(&byTaxi, o) },
+	} {
+		p0, d0, m0 := obsProposals.Value(), obsDisplacements.Value(), obsMatchings.Value()
+		var proposals, displacements uint64
+		run(&Observer{Proposal: func(_, _, _ int, outcome string) {
+			if obsProposals.Value() != p0 {
+				t.Fatalf("%s: stable_gs_proposals_total moved mid-matching", name)
+			}
+			proposals++
+			if outcome == "displaced" {
+				displacements++
+			}
+		}})
+		if proposals == 0 || displacements == 0 {
+			t.Fatalf("%s: market too easy: %d proposals, %d displacements", name, proposals, displacements)
+		}
+		if got := obsProposals.Value() - p0; got != proposals {
+			t.Errorf("%s: stable_gs_proposals_total advanced %d, Observer saw %d proposals", name, got, proposals)
+		}
+		if got := obsDisplacements.Value() - d0; got != displacements {
+			t.Errorf("%s: stable_gs_displacements_total advanced %d, Observer saw %d", name, got, displacements)
+		}
+		if got := obsMatchings.Value() - m0; got != 1 {
+			t.Errorf("%s: stable_gs_matchings_total advanced %d, want 1", name, got)
+		}
+	}
+}
