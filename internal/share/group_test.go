@@ -3,8 +3,10 @@ package share
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"stabledispatch/internal/costplane"
 	"stabledispatch/internal/fleet"
 	"stabledispatch/internal/geo"
 	"stabledispatch/internal/pref"
@@ -117,6 +119,61 @@ func TestFeasibleGroupsDivergentDestinations(t *testing.T) {
 	if len(groups) != 0 {
 		t.Fatalf("got %d groups, want 0", len(groups))
 	}
+}
+
+// TestFeasibleGroupsOrderDeterministic pins the enumeration order: every
+// call returns the same groups in the same order — pairs, then triples,
+// each in lexicographic member order — because group indices feed the
+// set-packing tie-breaks and the order of group trace events.
+func TestFeasibleGroupsOrderDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	reqs := randomRequests(rng, 40)
+	cfg := DefaultPackConfig()
+	pl := costplane.Build(reqs, nil, geo.EuclidMetric, costplane.Config{Workers: 1, Pairs: true, PairRadius: cfg.PairRadius})
+	want, err := FeasibleGroups(reqs, geo.EuclidMetric, cfg)
+	if err != nil {
+		t.Fatalf("FeasibleGroups: %v", err)
+	}
+	triples := 0
+	for k, g := range want {
+		if len(g.Members) == 3 {
+			triples++
+		}
+		if k > 0 && !groupBefore(want[k-1].Members, g.Members) {
+			t.Fatalf("group %d %v does not follow %v", k, g.Members, want[k-1].Members)
+		}
+	}
+	if triples < 20 {
+		t.Fatalf("only %d triples; the instance must exercise triple enumeration", triples)
+	}
+	for call := 0; call < 10; call++ {
+		got, err := FeasibleGroups(reqs, geo.EuclidMetric, cfg)
+		if err != nil {
+			t.Fatalf("FeasibleGroups: %v", err)
+		}
+		gotPlane, err := FeasibleGroupsPlane(len(reqs), pl, cfg)
+		if err != nil {
+			t.Fatalf("FeasibleGroupsPlane: %v", err)
+		}
+		for _, run := range [][]Group{got, gotPlane} {
+			if len(run) != len(want) {
+				t.Fatalf("call %d: %d groups, want %d", call, len(run), len(want))
+			}
+			for k := range run {
+				if !slices.Equal(run[k].Members, want[k].Members) {
+					t.Fatalf("call %d: group %d = %v, want %v", call, k, run[k].Members, want[k].Members)
+				}
+			}
+		}
+	}
+}
+
+// groupBefore orders groups by size, then lexicographically by members.
+func groupBefore(a, b []int) bool {
+	if len(a) != len(b) {
+		return len(a) < len(b)
+	}
+	return slices.Compare(a, b) < 0
 }
 
 func TestPairRadiusPruningIsConsistent(t *testing.T) {
