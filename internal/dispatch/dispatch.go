@@ -24,13 +24,20 @@ import (
 )
 
 // idleFleet converts the idle taxis of a frame into fleet.Taxi values,
-// returning also their IDs aligned by index.
+// in fleet order, reading the views in place.
 func idleFleet(f *sim.Frame) []fleet.Taxi {
 	defer stageTimer("idle_scan").ObserveDuration()
-	views := f.IdleTaxis()
-	taxis := make([]fleet.Taxi, len(views))
-	for i, v := range views {
-		taxis[i] = fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle}
+	n := 0
+	for i := range f.Taxis {
+		if f.Taxis[i].Idle {
+			n++
+		}
+	}
+	taxis := make([]fleet.Taxi, 0, n)
+	for i := range f.Taxis {
+		if v := &f.Taxis[i]; v.Idle {
+			taxis = append(taxis, fleet.Taxi{ID: v.ID, Pos: v.Pos, Seats: v.Seats, Status: fleet.TaxiIdle})
+		}
 	}
 	return taxis
 }

@@ -70,120 +70,145 @@ func BestRouteFrom(start geo.Point, reqs []fleet.Request, m geo.Metric) (RoutePl
 }
 
 func bestRoute(start *geo.Point, reqs []fleet.Request, m geo.Metric) (RoutePlan, error) {
-	k := len(reqs)
-	if k == 0 {
-		return RoutePlan{}, ErrNoRequests
+	var s routeSearch
+	if err := s.run(start, reqs, m); err != nil {
+		return RoutePlan{}, err
 	}
-	if k > MaxGroupSize {
-		return RoutePlan{}, fmt.Errorf("share: group of %d exceeds the exhaustive-search limit %d", k, MaxGroupSize)
-	}
-
-	s := &routeSearch{
-		reqs:    reqs,
-		metric:  m,
-		start:   start,
-		order:   make([]fleet.Stop, 0, 2*k),
-		picked:  make([]bool, k),
-		dropped: make([]bool, k),
-		best:    RoutePlan{Length: math.Inf(1)},
-	}
-	s.extend(0)
-	if math.IsInf(s.best.Length, 1) {
-		return RoutePlan{}, fmt.Errorf("share: no feasible stop order for %d requests", k)
-	}
-	return s.best, nil
+	return s.plan(reqs), nil
 }
+
+// A route search works on point indices: member g's pickup is point 2g
+// and its drop-off 2g+1; startPoint is the optional taxi start.
+const (
+	maxStops   = 2 * MaxGroupSize
+	startPoint = maxStops
+	maxPoints  = maxStops + 1
+)
 
 // routeSearch enumerates stop orders depth-first with branch-and-bound on
-// the accumulated distance.
+// the accumulated distance. It allocates nothing: each ordered leg is
+// measured at most once, on first use, into a fixed table, and the
+// incumbent is kept as an order of point indices until plan builds the
+// result.
 type routeSearch struct {
-	reqs    []fleet.Request
-	metric  geo.Metric
-	start   *geo.Point
-	order   []fleet.Stop
-	picked  []bool
-	dropped []bool
-	best    RoutePlan
+	metric   geo.Metric
+	pts      [maxPoints]geo.Point
+	hasStart bool
+	stops    int // 2·len(reqs)
+
+	leg   [maxPoints][maxPoints]float64
+	known [maxPoints]uint8 // bit j of known[i]: leg[i][j] is measured
+
+	order   [maxStops]uint8 // the partial order being extended
+	visited uint8           // bit p: point p is on the partial order
+	best    [maxStops]uint8
+	bestLen float64
 }
 
-func (s *routeSearch) extend(lengthSoFar float64) {
-	if lengthSoFar >= s.best.Length {
+// run searches every stop order of reqs on a zero routeSearch, leaving
+// the shortest as the incumbent.
+func (s *routeSearch) run(start *geo.Point, reqs []fleet.Request, m geo.Metric) error {
+	k := len(reqs)
+	if k == 0 {
+		return ErrNoRequests
+	}
+	if k > MaxGroupSize {
+		return fmt.Errorf("share: group of %d exceeds the exhaustive-search limit %d", k, MaxGroupSize)
+	}
+	s.metric, s.stops, s.bestLen = m, 2*k, math.Inf(1)
+	for g, r := range reqs {
+		s.pts[2*g], s.pts[2*g+1] = r.Pickup, r.Dropoff
+	}
+	if start != nil {
+		s.pts[startPoint] = *start
+		s.hasStart = true
+	}
+	s.extend(0, 0)
+	if math.IsInf(s.bestLen, 1) {
+		return fmt.Errorf("share: no feasible stop order for %d requests", k)
+	}
+	return nil
+}
+
+// dist returns the leg from point i to point j, measuring it once.
+func (s *routeSearch) dist(i, j uint8) float64 {
+	if s.known[i]&(1<<j) == 0 {
+		s.leg[i][j] = s.metric.Distance(s.pts[i], s.pts[j])
+		s.known[i] |= 1 << j
+	}
+	return s.leg[i][j]
+}
+
+func (s *routeSearch) extend(lengthSoFar float64, depth int) {
+	if lengthSoFar >= s.bestLen {
 		return // bound: already no better than the incumbent
 	}
-	if len(s.order) == 2*len(s.reqs) {
-		s.record(lengthSoFar)
+	if depth == s.stops {
+		s.best, s.bestLen = s.order, lengthSoFar
 		return
 	}
-	for g := range s.reqs {
-		if !s.picked[g] {
-			s.visit(g, fleet.StopPickup, s.reqs[g].Pickup, lengthSoFar)
-		} else if !s.dropped[g] {
-			s.visit(g, fleet.StopDropoff, s.reqs[g].Dropoff, lengthSoFar)
-		}
-	}
-}
-
-func (s *routeSearch) visit(g int, kind fleet.StopKind, pos geo.Point, lengthSoFar float64) {
-	leg := 0.0
-	if len(s.order) == 0 {
-		if s.start != nil {
-			leg = s.metric.Distance(*s.start, pos)
-		}
-	} else {
-		leg = s.metric.Distance(s.order[len(s.order)-1].Pos, pos)
-	}
-	s.order = append(s.order, fleet.Stop{RequestID: s.reqs[g].ID, Kind: kind, Pos: pos})
-	if kind == fleet.StopPickup {
-		s.picked[g] = true
-	} else {
-		s.dropped[g] = true
-	}
-
-	s.extend(lengthSoFar + leg)
-
-	s.order = s.order[:len(s.order)-1]
-	if kind == fleet.StopPickup {
-		s.picked[g] = false
-	} else {
-		s.dropped[g] = false
-	}
-}
-
-// record captures the current complete order as the incumbent best plan.
-func (s *routeSearch) record(length float64) {
-	plan := RoutePlan{
-		Stops:        append([]fleet.Stop(nil), s.order...),
-		Length:       length,
-		PickupOffset: make([]float64, len(s.reqs)),
-		OnBoard:      make([]float64, len(s.reqs)),
-	}
-	idByGroup := make(map[int]int, len(s.reqs))
-	for g, r := range s.reqs {
-		idByGroup[r.ID] = g
-	}
-
-	// Walk the route accumulating distance from the first stop; the
-	// optional taxi lead-in is excluded from offsets by construction.
-	dist := 0.0
-	load, maxLoad := 0, 0
-	var pickupAt = make([]float64, len(s.reqs))
-	for i, stop := range plan.Stops {
-		if i > 0 {
-			dist += s.metric.Distance(plan.Stops[i-1].Pos, stop.Pos)
-		}
-		g := idByGroup[stop.RequestID]
-		if stop.Kind == fleet.StopPickup {
-			plan.PickupOffset[g] = dist
-			pickupAt[g] = dist
-			load += s.reqs[g].SeatCount()
-			if load > maxLoad {
-				maxLoad = load
+	for g := 0; 2*g < s.stops; g++ {
+		p := uint8(2 * g) // the pickup, or else the drop-off once picked
+		if s.visited&(1<<p) != 0 {
+			p++
+			if s.visited&(1<<p) != 0 {
+				continue
 			}
+		}
+		leg := 0.0
+		if depth > 0 {
+			leg = s.dist(s.order[depth-1], p)
+		} else if s.hasStart {
+			leg = s.dist(startPoint, p)
+		}
+		s.order[depth] = p
+		s.visited |= 1 << p
+		s.extend(lengthSoFar+leg, depth+1)
+		s.visited &^= 1 << p
+	}
+}
+
+// plan builds the RoutePlan of the incumbent order over reqs.
+func (s *routeSearch) plan(reqs []fleet.Request) RoutePlan {
+	k := s.stops / 2
+	plan := RoutePlan{
+		Stops:        make([]fleet.Stop, s.stops),
+		Length:       s.bestLen,
+		PickupOffset: make([]float64, k),
+		OnBoard:      make([]float64, k),
+	}
+	for i, p := range s.best[:s.stops] {
+		r := &reqs[p/2]
+		if p%2 == 0 {
+			plan.Stops[i] = fleet.Stop{RequestID: r.ID, Kind: fleet.StopPickup, Pos: r.Pickup}
 		} else {
-			plan.OnBoard[g] = dist - pickupAt[g]
-			load -= s.reqs[g].SeatCount()
+			plan.Stops[i] = fleet.Stop{RequestID: r.ID, Kind: fleet.StopDropoff, Pos: r.Dropoff}
 		}
 	}
-	plan.MaxLoad = maxLoad
-	s.best = plan
+	plan.MaxLoad = s.offsets(reqs, plan.PickupOffset, plan.OnBoard)
+	return plan
+}
+
+// offsets walks the incumbent order from its first stop, filling each
+// member's pickup offset and on-board distance, and returns the peak
+// seat load. The optional taxi lead-in counts toward the search's length
+// but not toward the offsets.
+func (s *routeSearch) offsets(reqs []fleet.Request, pickupOffset, onBoard []float64) (maxLoad int) {
+	dist := 0.0
+	load := 0
+	for i, p := range s.best[:s.stops] {
+		if i > 0 {
+			dist += s.dist(s.best[i-1], p)
+		}
+		g := p / 2
+		if p%2 == 0 {
+			pickupOffset[g] = dist
+			load += reqs[g].SeatCount()
+			maxLoad = max(maxLoad, load)
+		} else {
+			onBoard[g] = dist - pickupOffset[g]
+			load -= reqs[g].SeatCount()
+		}
+	}
+	return maxLoad
 }

@@ -251,3 +251,26 @@ func TestDetour(t *testing.T) {
 		t.Errorf("Detour = %v, want 0", got)
 	}
 }
+
+// TestBestRouteAllocations pins the route search as allocation-free: a
+// call allocates only the returned plan's Stops, PickupOffset and OnBoard.
+func TestBestRouteAllocations(t *testing.T) {
+	reqs := randomRequests(rand.New(rand.NewSource(7)), MaxGroupSize)
+	start := geo.Point{X: 5, Y: 5}
+	for _, tc := range []struct {
+		name string
+		run  func() (RoutePlan, error)
+	}{
+		{"BestRoute", func() (RoutePlan, error) { return BestRoute(reqs, geo.EuclidMetric) }},
+		{"BestRouteFrom", func() (RoutePlan, error) { return BestRouteFrom(start, reqs, geo.EuclidMetric) }},
+	} {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := tc.run(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 3 {
+			t.Errorf("%s: %v allocations per call, want at most 3 (the plan's slices)", tc.name, allocs)
+		}
+	}
+}

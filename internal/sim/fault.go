@@ -216,6 +216,7 @@ func (s *Simulator) breakdown(t *taxiState, repair int) {
 	for _, id := range sortedKeys(t.onboard) {
 		rs := s.reqs[id]
 		delete(t.onboard, id)
+		t.load -= rs.req.SeatCount()
 		t.episodeTripSum -= rs.req.TripDistance(s.cfg.Metric)
 		removeID(&t.episodeReqs, id)
 		rs.req.Pickup = t.pos

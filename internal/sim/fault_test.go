@@ -439,6 +439,29 @@ func TestRequeueRestartsPatience(t *testing.T) {
 
 // chaosRun executes one seeded chaos soak and returns its events and
 // report.
+// loadCheckingDispatcher fails the test when a frame's view of a taxi
+// reports a Load other than the seats of its onboard riders: the engine
+// keeps the load incrementally through pickups, drop-offs and breakdowns.
+type loadCheckingDispatcher struct {
+	t     *testing.T
+	inner Dispatcher
+}
+
+func (d loadCheckingDispatcher) Name() string { return d.inner.Name() }
+
+func (d loadCheckingDispatcher) Dispatch(f *Frame) ([]fleet.Assignment, error) {
+	for _, v := range f.Taxis {
+		seats := 0
+		for _, id := range v.Onboard {
+			seats += v.SeatsByRequest[id]
+		}
+		if v.Load != seats {
+			d.t.Fatalf("frame %d taxi %d: Load %d, onboard riders hold %d seats", f.Number, v.ID, v.Load, seats)
+		}
+	}
+	return d.inner.Dispatch(f)
+}
+
 func chaosRun(t *testing.T, seed int64) ([]Event, *Report) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(99))
@@ -465,7 +488,7 @@ func chaosRun(t *testing.T, seed int64) ([]Event, *Report) {
 	if err != nil {
 		t.Fatalf("fault.New: %v", err)
 	}
-	cfg := simpleConfig(nearestDispatcher{})
+	cfg := simpleConfig(loadCheckingDispatcher{t: t, inner: nearestDispatcher{}})
 	cfg.PatienceFrames = 25
 	cfg.DrainFrames = 500
 	cfg.Faults = sched

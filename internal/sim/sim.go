@@ -128,6 +128,11 @@ type TaxiView struct {
 	// SeatsByRequest maps every request on the route (onboard or
 	// assigned) to its seat count, so dispatchers can compute load
 	// profiles for insertions.
+	//
+	// Route, Onboard, Assigned and SeatsByRequest are nil for an empty
+	// taxi (nothing on board, assigned or routed): the engine builds
+	// them only for busy taxis. Dispatchers read the view and never
+	// write to it.
 	SeatsByRequest map[int]int
 }
 
@@ -237,6 +242,7 @@ type taxiState struct {
 	route   []fleet.Stop
 	onboard map[int]bool
 	pending map[int]bool // assigned, not yet picked up
+	load    int          // seats occupied by the onboard riders
 
 	// Episode bookkeeping: an episode spans idle→busy→idle and carries
 	// the taxi-dissatisfaction metric.
@@ -248,14 +254,6 @@ type taxiState struct {
 }
 
 func (t *taxiState) idle() bool { return len(t.route) == 0 }
-
-func (t *taxiState) load(reqs map[int]*requestState) int {
-	load := 0
-	for id := range t.onboard {
-		load += reqs[id].req.SeatCount()
-	}
-	return load
-}
 
 // requestState tracks one request through its lifecycle.
 type requestState struct {
@@ -557,25 +555,32 @@ func (s *Simulator) releaseArrivals() {
 
 func (s *Simulator) view() *Frame {
 	f := &Frame{
-		Number:  s.frame,
-		Metric:  s.cfg.Metric,
-		Params:  s.cfg.Params,
-		Workers: s.cfg.Workers,
+		Number:   s.frame,
+		Metric:   s.cfg.Metric,
+		Params:   s.cfg.Params,
+		Workers:  s.cfg.Workers,
+		Requests: make([]fleet.Request, len(s.pending)),
+		Taxis:    make([]TaxiView, len(s.taxis)),
 	}
-	for _, id := range s.pending {
-		f.Requests = append(f.Requests, s.reqs[id].req)
+	for i, id := range s.pending {
+		f.Requests[i] = s.reqs[id].req
 	}
-	for _, t := range s.taxis {
-		offline := s.offline(t.taxi.ID)
-		v := TaxiView{
+	outages := len(s.activeOutage) > 0
+	for i, t := range s.taxis {
+		offline := outages && s.offline(t.taxi.ID)
+		v := &f.Taxis[i]
+		*v = TaxiView{
 			ID:      t.taxi.ID,
 			Pos:     t.pos,
 			Seats:   t.taxi.Seats,
 			Idle:    t.idle() && !offline,
 			Offline: offline,
-			Load:    t.load(s.reqs),
-			Route:   append([]fleet.Stop(nil), t.route...),
 		}
+		if len(t.route)+len(t.onboard)+len(t.pending) == 0 {
+			continue // an empty taxi: nothing on board, assigned or routed
+		}
+		v.Load = t.load
+		v.Route = append([]fleet.Stop(nil), t.route...)
 		v.SeatsByRequest = make(map[int]int, len(t.onboard)+len(t.pending))
 		for id := range t.onboard {
 			v.Onboard = append(v.Onboard, id)
@@ -587,7 +592,6 @@ func (s *Simulator) view() *Frame {
 		}
 		sort.Ints(v.Onboard)
 		sort.Ints(v.Assigned)
-		f.Taxis = append(f.Taxis, v)
 	}
 	return f
 }
@@ -733,7 +737,7 @@ func (s *Simulator) checkRoute(t *taxiState, a fleet.Assignment) error {
 		expectDrop[id] = true
 	}
 
-	load := t.load(s.reqs)
+	load := t.load
 	maxLoad := load
 	seenPickup := make(map[int]bool)
 	seenDrop := make(map[int]bool)
@@ -841,11 +845,13 @@ func (s *Simulator) moveTaxis() {
 			if target.Kind == fleet.StopPickup {
 				delete(t.pending, target.RequestID)
 				t.onboard[target.RequestID] = true
+				t.load += rs.req.SeatCount()
 				rs.pickedUp = true
 				rs.pickupFrame = s.frame
 				s.emit(Event{Frame: s.frame, Kind: EventPickup, RequestID: target.RequestID, TaxiID: t.taxi.ID, Pos: target.Pos})
 			} else {
 				delete(t.onboard, target.RequestID)
+				t.load -= rs.req.SeatCount()
 				rs.done = true
 				rs.dropoffFrame = s.frame
 				s.emit(Event{Frame: s.frame, Kind: EventDropoff, RequestID: target.RequestID, TaxiID: t.taxi.ID, Pos: target.Pos})

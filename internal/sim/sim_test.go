@@ -428,6 +428,47 @@ func TestFrameViewConsistency(t *testing.T) {
 	}
 }
 
+// TestViewIdleFleetAllocations pins the frame view's cost for an
+// all-idle fleet: the frame and its two slices, whatever the fleet size,
+// with the per-taxi route, ID lists and seat map left nil.
+func TestViewIdleFleetAllocations(t *testing.T) {
+	var perFleet []float64
+	for _, n := range []int{10, 1000} {
+		taxis := make([]fleet.Taxi, n)
+		for i := range taxis {
+			taxis[i] = fleet.Taxi{ID: i, Pos: geo.Point{X: float64(i % 10), Y: float64(i / 10)}}
+		}
+		var reqs []fleet.Request
+		for i := 0; i < 20; i++ {
+			reqs = append(reqs, fleet.Request{ID: i, Pickup: geo.Point{X: float64(i)}, Dropoff: geo.Point{Y: float64(i)}})
+		}
+		s, err := New(simpleConfig(&scriptedDispatcher{}), taxis, reqs)
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		if err := s.Step(); err != nil {
+			t.Fatalf("Step: %v", err)
+		}
+		f := s.view()
+		if len(f.Requests) != len(reqs) || len(f.Taxis) != n {
+			t.Fatalf("view has %d requests and %d taxis, want %d and %d", len(f.Requests), len(f.Taxis), len(reqs), n)
+		}
+		for _, v := range f.Taxis {
+			if !v.Idle || v.Load != 0 || v.Route != nil || v.Onboard != nil || v.Assigned != nil || v.SeatsByRequest != nil {
+				t.Fatalf("empty taxi view %+v, want idle with nil per-taxi state", v)
+			}
+		}
+		allocs := testing.AllocsPerRun(20, func() { s.view() })
+		if allocs > 3 {
+			t.Errorf("%d idle taxis: view allocates %v times, want at most 3", n, allocs)
+		}
+		perFleet = append(perFleet, allocs)
+	}
+	if perFleet[0] != perFleet[1] {
+		t.Errorf("view allocations grow with the idle fleet: %v", perFleet)
+	}
+}
+
 type capturingDispatcher struct {
 	inner  Dispatcher
 	frames *[]*Frame
